@@ -18,6 +18,7 @@
 #include "filter/filter_registry.h"
 #include "filter/params.h"
 #include "filter/snapshot.h"
+#include "net/capture_reader.h"
 #include "net/live/af_packet.h"
 #include "net/live/event_loop.h"
 #include "net/live/live_datapath.h"
@@ -74,29 +75,11 @@ BitmapFilterConfig bitmap_from(const Args& args) {
   return config;
 }
 
-// Reads a capture of either format, sniffing the magic number.
+// Reads a whole capture of either format.
 Trace read_capture(const std::string& path, std::uint64_t* skipped) {
-  std::uint8_t magic[4] = {0, 0, 0, 0};
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) throw PcapError("cannot open for reading: " + path);
-    const std::size_t got = std::fread(magic, 1, sizeof(magic), f);
-    std::fclose(f);
-    if (got != sizeof(magic)) throw PcapError("capture too short: " + path);
-  }
-  const std::uint32_t value = static_cast<std::uint32_t>(magic[0]) |
-                              (static_cast<std::uint32_t>(magic[1]) << 8) |
-                              (static_cast<std::uint32_t>(magic[2]) << 16) |
-                              (static_cast<std::uint32_t>(magic[3]) << 24);
-  if (value == kPcapngShb) {
-    PcapngReader reader{path};
-    Trace trace = reader.read_all();
-    if (skipped != nullptr) *skipped = reader.blocks_skipped();
-    return trace;
-  }
-  PcapReader reader{path};
+  CaptureReader reader{path};
   Trace trace = reader.read_all();
-  if (skipped != nullptr) *skipped = reader.frames_skipped();
+  if (skipped != nullptr) *skipped = reader.skipped();
   return trace;
 }
 
@@ -852,9 +835,14 @@ int cmd_filter(const Args& args) {
   std::unique_ptr<DropPolicy> policy = make_policy(policy_spec_from(args), 1);
   if (const int rc = reject_unconsumed(args); rc != 0) return rc;
 
-  // The trace is read before --load-state resolves so the staleness check
-  // can compare the snapshot time against the replay's first timestamp.
-  const Trace trace = read_capture(path, nullptr);
+  // The capture streams through one reused batch, so memory does not grow
+  // with its length. The first batch is read before --load-state resolves
+  // so the staleness check can compare the snapshot time against the
+  // replay's first decoded timestamp.
+  constexpr std::size_t kCliBatch = 256;
+  CaptureReader reader{path};
+  std::vector<PacketRecord> batch(kCliBatch);
+  std::size_t n = reader.read_batch(batch);
   std::unique_ptr<StateFilter> filter;
   if (load_snapshot) {
     std::FILE* f = std::fopen(load_state.c_str(), "rb");
@@ -867,8 +855,7 @@ int cmd_filter(const Args& args) {
     }
     std::fclose(f);
     const std::optional<SimTime> now =
-        trace.empty() ? std::nullopt
-                      : std::optional<SimTime>{trace.front().timestamp};
+        n == 0 ? std::nullopt : std::optional<SimTime>{batch[0].timestamp};
     auto restored = restore_bitmap_filter_checked(bytes, now);
     if (!restored.ok()) {
       if (restored.error == SnapshotRestoreError::kStale) {
@@ -911,17 +898,18 @@ int cmd_filter(const Args& args) {
   }
   // Interval snapshots fire on sim-time boundaries measured from the first
   // packet, so a trace replayed at any speed emits the same sequence.
-  const bool interval_mode = !metrics.interval.is_zero() && !trace.empty();
-  SimTime next_emit = interval_mode
-                          ? trace.front().timestamp + metrics.interval
-                          : SimTime::infinite();
-  constexpr std::size_t kCliBatch = 256;
+  const bool interval_mode = !metrics.interval.is_zero() && n > 0;
+  SimTime next_emit = interval_mode ? batch[0].timestamp + metrics.interval
+                                    : SimTime::infinite();
+  // The replay's end: the last packet's timestamp (origin when empty).
+  SimTime end = SimTime::origin();
   std::array<RouterDecision, kCliBatch> decisions;
-  for (std::size_t start = 0; start < trace.size(); start += kCliBatch) {
-    const std::size_t n = std::min(kCliBatch, trace.size() - start);
-    const PacketBatch batch{trace.data() + start, n};
-    router.process_batch(batch, std::span<RouterDecision>{decisions.data(), n});
-    while (batch[n - 1].timestamp >= next_emit) {
+  for (; n > 0; n = reader.read_batch(batch)) {
+    const PacketBatch packets{batch.data(), n};
+    router.process_batch(packets,
+                         std::span<RouterDecision>{decisions.data(), n});
+    end = packets[n - 1].timestamp;
+    while (end >= next_emit) {
       const MetricsSnapshot snap = metrics.deterministic
                                        ? router.metrics_snapshot().deterministic()
                                        : router.metrics_snapshot();
@@ -932,13 +920,11 @@ int cmd_filter(const Args& args) {
     for (std::size_t p = 0; p < n; ++p) {
       if (decisions[p] == RouterDecision::kPassedOutbound ||
           decisions[p] == RouterDecision::kPassedInbound) {
-        writer->write(batch[p]);
+        writer->write(packets[p]);
       }
     }
   }
   if (metrics.enabled()) {
-    const SimTime end =
-        trace.empty() ? SimTime::origin() : trace.back().timestamp;
     write_final_metrics(metrics, metrics_writer.get(),
                         router.metrics_snapshot(), end);
     std::printf("metrics written to %s\n", metrics.out.c_str());
@@ -987,8 +973,6 @@ int cmd_filter(const Args& args) {
                    "error: --save-state only supports --filter bitmap\n");
       return 2;
     }
-    const SimTime end =
-        trace.empty() ? SimTime::origin() : trace.back().timestamp;
     const auto snapshot = snapshot_bitmap_filter(*bitmap, end);
     try {
       // Crash-consistent: tmp file + flush + fsync + atomic rename, so a

@@ -1,6 +1,7 @@
 #include "net/headers.h"
 
 #include <algorithm>
+#include <array>
 
 #include "util/byte_io.h"
 
@@ -38,14 +39,21 @@ std::uint32_t sum_bytes(std::span<const std::uint8_t> data) {
   return sum;
 }
 
-void write_mac_for(Ipv4Addr addr, ByteWriter& w) {
+void put16be(std::uint8_t* p, std::uint16_t v) {
+  p[0] = static_cast<std::uint8_t>(v >> 8);
+  p[1] = static_cast<std::uint8_t>(v);
+}
+
+void put32be(std::uint8_t* p, std::uint32_t v) {
+  put16be(p, static_cast<std::uint16_t>(v >> 16));
+  put16be(p + 2, static_cast<std::uint16_t>(v));
+}
+
+void put_mac_for(std::uint8_t* p, std::uint32_t addr) {
   // Locally administered unicast MAC derived from the IP; purely cosmetic.
-  w.u8(0x02);
-  w.u8(0x42);
-  w.u8(static_cast<std::uint8_t>(addr.value() >> 24));
-  w.u8(static_cast<std::uint8_t>(addr.value() >> 16));
-  w.u8(static_cast<std::uint8_t>(addr.value() >> 8));
-  w.u8(static_cast<std::uint8_t>(addr.value()));
+  p[0] = 0x02;
+  p[1] = 0x42;
+  put32be(p + 2, addr);
 }
 
 }  // namespace
@@ -54,87 +62,107 @@ std::uint16_t internet_checksum(std::span<const std::uint8_t> data) {
   return fold(sum_bytes(data));
 }
 
-std::vector<std::uint8_t> encode_frame(const PacketRecord& pkt) {
+std::size_t encode_frame_headers(
+    const PacketRecord& pkt,
+    std::span<std::uint8_t, kMaxFrameHeaderSize> out) {
+  // Every field is read before the first store and written at a fixed
+  // offset: byte stores may alias anything, so a running write position
+  // or re-read packet fields would serialize the stores.
   const bool tcp = pkt.tuple.protocol == Protocol::kTcp;
+  const std::uint32_t src = pkt.tuple.src_addr.value();
+  const std::uint32_t dst = pkt.tuple.dst_addr.value();
+  const std::uint16_t src_port = pkt.tuple.src_port;
+  const std::uint16_t dst_port = pkt.tuple.dst_port;
+  const std::uint8_t proto = static_cast<std::uint8_t>(pkt.tuple.protocol);
+  const std::uint8_t flags = pkt.flags.to_byte();
+  const std::span<const std::uint8_t> prefix = pkt.captured_payload();
   const std::uint32_t l4_header = tcp ? kTcpHeaderSize : kUdpHeaderSize;
   const std::uint32_t l4_len = l4_header + pkt.payload_size;
   const std::uint32_t ip_total = kIpv4HeaderSize + l4_len;
-
-  std::vector<std::uint8_t> out;
-  out.reserve(kEthernetHeaderSize + ip_total);
-  ByteWriter w{out};
+  const std::uint32_t pseudo = pseudo_header_sum(pkt.tuple, l4_len);
 
   // Ethernet II.
-  write_mac_for(pkt.tuple.dst_addr, w);
-  write_mac_for(pkt.tuple.src_addr, w);
-  w.u16be(kEtherTypeIpv4);
+  std::uint8_t* const eth = out.data();
+  put_mac_for(eth, dst);
+  put_mac_for(eth + 6, src);
+  put16be(eth + 12, kEtherTypeIpv4);
 
   // IPv4 (no options).
-  const std::size_t ip_begin = out.size();
-  w.u8(0x45);                 // version 4, IHL 5
-  w.u8(0);                    // DSCP/ECN
-  w.u16be(static_cast<std::uint16_t>(ip_total));
-  w.u16be(0);                 // identification
-  w.u16be(0x4000);            // flags: DF
-  w.u8(64);                   // TTL
-  w.u8(static_cast<std::uint8_t>(pkt.tuple.protocol));
-  w.u16be(0);                 // checksum placeholder
-  w.u32be(pkt.tuple.src_addr.value());
-  w.u32be(pkt.tuple.dst_addr.value());
-  const std::uint16_t ip_csum = internet_checksum(
-      std::span<const std::uint8_t>{out.data() + ip_begin, kIpv4HeaderSize});
-  out[ip_begin + 10] = static_cast<std::uint8_t>(ip_csum >> 8);
-  out[ip_begin + 11] = static_cast<std::uint8_t>(ip_csum);
+  std::uint8_t* const ip = eth + kEthernetHeaderSize;
+  ip[0] = 0x45;  // version 4, IHL 5
+  ip[1] = 0;     // DSCP/ECN
+  put16be(ip + 2, static_cast<std::uint16_t>(ip_total));
+  put16be(ip + 4, 0);       // identification
+  put16be(ip + 6, 0x4000);  // flags: DF
+  ip[8] = 64;               // TTL
+  ip[9] = proto;
+  put32be(ip + 12, src);
+  put32be(ip + 16, dst);
+  // Checksums are summed from the field values rather than read back from
+  // the stored bytes; zero fields are left out.
+  const std::uint32_t ip_sum =
+      0x4500u + static_cast<std::uint16_t>(ip_total) + 0x4000u +
+      (64u << 8 | proto) + (src >> 16) + (src & 0xffff) + (dst >> 16) +
+      (dst & 0xffff);
+  put16be(ip + 10, fold(ip_sum));
 
   // L4 header.
-  const std::size_t l4_begin = out.size();
+  std::uint8_t* const l4 = ip + kIpv4HeaderSize;
+  put16be(l4, src_port);
+  put16be(l4 + 2, dst_port);
   if (tcp) {
-    w.u16be(pkt.tuple.src_port);
-    w.u16be(pkt.tuple.dst_port);
-    w.u32be(0);  // seq (not modeled)
-    w.u32be(0);  // ack (not modeled)
-    w.u8(0x50);  // data offset 5
-    w.u8(pkt.flags.to_byte());
-    w.u16be(65535);  // window
-    w.u16be(0);      // checksum placeholder
-    w.u16be(0);      // urgent pointer
+    put32be(l4 + 4, 0);  // seq (not modeled)
+    put32be(l4 + 8, 0);  // ack (not modeled)
+    l4[12] = 0x50;       // data offset 5
+    l4[13] = flags;
+    put16be(l4 + 14, 65535);  // window
+    put16be(l4 + 16, 0);      // checksum placeholder
+    put16be(l4 + 18, 0);      // urgent pointer
   } else {
-    w.u16be(pkt.tuple.src_port);
-    w.u16be(pkt.tuple.dst_port);
-    w.u16be(static_cast<std::uint16_t>(l4_len));
-    w.u16be(0);  // checksum placeholder
+    put16be(l4 + 4, static_cast<std::uint16_t>(l4_len));
+    put16be(l4 + 6, 0);  // checksum placeholder
   }
 
-  // Payload: captured prefix, then zero fill to the declared size.
-  w.bytes(std::span<const std::uint8_t>{pkt.payload.data(),
-                                        std::min<std::size_t>(
-                                            pkt.payload.size(),
-                                            pkt.payload_size)});
-  out.resize(kEthernetHeaderSize + ip_total, 0);
-
-  // L4 checksum over pseudo-header + segment.
-  std::uint32_t sum = pseudo_header_sum(pkt.tuple, l4_len);
-  sum += sum_bytes(std::span<const std::uint8_t>{out.data() + l4_begin,
-                                                 l4_len});
+  // L4 checksum over pseudo-header + segment. The uncaptured payload is
+  // zero fill, which adds nothing to a one's-complement sum, and the L4
+  // header has even length, so summing the captured prefix on its own
+  // pairs its bytes exactly as the whole segment would.
+  const std::uint32_t l4_header_sum =
+      src_port + dst_port +
+      (tcp ? 0x5000u + flags + 65535u : static_cast<std::uint16_t>(l4_len));
+  const std::uint32_t sum = pseudo + l4_header_sum + sum_bytes(prefix);
   std::uint16_t l4_csum = fold(sum);
   if (!tcp && l4_csum == 0) l4_csum = 0xffff;  // UDP: 0 means "no checksum"
-  const std::size_t csum_off = tcp ? l4_begin + 16 : l4_begin + 6;
-  out[csum_off] = static_cast<std::uint8_t>(l4_csum >> 8);
-  out[csum_off + 1] = static_cast<std::uint8_t>(l4_csum);
+  put16be(l4 + (tcp ? 16 : 6), l4_csum);
 
+  return kEthernetHeaderSize + kIpv4HeaderSize + l4_header;
+}
+
+std::vector<std::uint8_t> encode_frame(const PacketRecord& pkt) {
+  std::array<std::uint8_t, kMaxFrameHeaderSize> headers;
+  const std::size_t header_len = encode_frame_headers(pkt, headers);
+  const std::span<const std::uint8_t> prefix = pkt.captured_payload();
+  // Headers, the captured prefix, then zero fill to the declared size.
+  std::vector<std::uint8_t> out(header_len + pkt.payload_size, 0);
+  std::copy_n(headers.begin(), header_len, out.begin());
+  std::copy(prefix.begin(), prefix.end(), out.begin() + header_len);
   return out;
 }
 
-bool decode_frame_into(std::span<const std::uint8_t> frame,
-                       SimTime timestamp, DecodedFrame& out) {
+namespace {
+
+// The one frame decoder behind decode_frame and decode_frame_into.
+bool decode_into(std::span<const std::uint8_t> frame, SimTime timestamp,
+                 PacketRecord& pkt, bool& ip_checksum_ok,
+                 bool& l4_checksum_ok) {
   try {
-    // `out` may be a reused buffer: reset every field that is only
+    // `pkt` may be a reused buffer: reset every field that is only
     // conditionally written below (flags stay default for UDP, checksum
     // verdicts only resolve when the capture holds the full segment).
-    out.ip_checksum_ok = false;
-    out.l4_checksum_ok = false;
-    out.packet.flags = TcpFlags{};
-    out.packet.checksum_valid = true;
+    ip_checksum_ok = false;
+    l4_checksum_ok = false;
+    pkt.flags = TcpFlags{};
+    pkt.checksum_valid = true;
 
     ByteReader r{frame};
     r.skip(12);  // MACs
@@ -161,7 +189,6 @@ bool decode_frame_into(std::span<const std::uint8_t> frame,
     }
     if (ip_total < ihl) return false;
 
-    PacketRecord& pkt = out.packet;
     pkt.timestamp = timestamp;
     pkt.tuple.protocol = static_cast<Protocol>(proto);
     pkt.tuple.src_addr = Ipv4Addr{src};
@@ -169,7 +196,7 @@ bool decode_frame_into(std::span<const std::uint8_t> frame,
 
     const std::size_t ip_captured =
         std::min<std::size_t>(frame.size() - ip_begin, ihl);
-    out.ip_checksum_ok =
+    ip_checksum_ok =
         ip_captured >= ihl &&
         internet_checksum(frame.subspan(ip_begin, ihl)) == 0;
 
@@ -211,16 +238,16 @@ bool decode_frame_into(std::span<const std::uint8_t> frame,
     const std::size_t l4_captured = frame.size() - (ip_begin + ihl);
     if (l4_captured >= l4_total) {
       if (pkt.tuple.protocol == Protocol::kUdp && udp_checksum_field == 0) {
-        out.l4_checksum_ok = true;  // UDP checksum disabled by sender
+        l4_checksum_ok = true;  // UDP checksum disabled by sender
       } else {
         std::uint32_t sum = pseudo_header_sum(pkt.tuple, l4_total);
         sum += sum_bytes(frame.subspan(ip_begin + ihl, l4_total));
-        out.l4_checksum_ok = fold(sum) == 0;
+        l4_checksum_ok = fold(sum) == 0;
       }
-      pkt.checksum_valid = out.l4_checksum_ok;
+      pkt.checksum_valid = l4_checksum_ok;
       (void)l4_begin;
     }
-    if (ip_captured >= ihl && !out.ip_checksum_ok) {
+    if (ip_captured >= ihl && !ip_checksum_ok) {
       pkt.checksum_valid = false;
     }
     return true;
@@ -229,10 +256,22 @@ bool decode_frame_into(std::span<const std::uint8_t> frame,
   }
 }
 
+}  // namespace
+
+bool decode_frame_into(std::span<const std::uint8_t> frame,
+                       SimTime timestamp, PacketRecord& out) {
+  bool ip_checksum_ok = false;
+  bool l4_checksum_ok = false;
+  return decode_into(frame, timestamp, out, ip_checksum_ok, l4_checksum_ok);
+}
+
 std::optional<DecodedFrame> decode_frame(std::span<const std::uint8_t> frame,
                                          SimTime timestamp) {
   DecodedFrame out;
-  if (!decode_frame_into(frame, timestamp, out)) return std::nullopt;
+  if (!decode_into(frame, timestamp, out.packet, out.ip_checksum_ok,
+                   out.l4_checksum_ok)) {
+    return std::nullopt;
+  }
   return out;
 }
 

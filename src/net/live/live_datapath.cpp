@@ -1,10 +1,14 @@
 #include "net/live/live_datapath.h"
 
+#include <sys/eventfd.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
+#include <system_error>
 
 #include "filter/bitmap_filter.h"
 #include "filter/drop_policy.h"
@@ -117,6 +121,19 @@ LiveDatapath::LiveDatapath(LiveConfig config, FilterSpec spec,
         [this](std::uint64_t) { write_checkpoint_now(); });
   }
 
+  resume_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (resume_fd_ < 0) {
+    throw std::system_error(errno, std::generic_category(),
+                            "LiveDatapath: eventfd");
+  }
+  loop_.add_fd(
+      resume_fd_,
+      [this]() {
+        std::uint64_t count = 0;
+        (void)!::read(resume_fd_, &count, sizeof(count));
+        if (capture_attached_) on_capture_readable();
+      },
+      /*owns_fd=*/true);
   start_time_ = config_.clock->now();
   capture_fd_ = source_->fd();
   attach_capture();
@@ -127,6 +144,7 @@ LiveDatapath::LiveDatapath(LiveConfig config, FilterSpec spec,
 LiveDatapath::~LiveDatapath() {
   // The loop may outlive the datapath; its registrations capture `this`.
   loop_.remove_fd(tick_fd_);
+  loop_.remove_fd(resume_fd_);
   if (checkpoint_fd_ >= 0) loop_.remove_fd(checkpoint_fd_);
   if (pending_oneshot_fd_ >= 0) loop_.remove_fd(pending_oneshot_fd_);
   if (capture_attached_) loop_.remove_fd(capture_fd_);
@@ -140,22 +158,39 @@ void LiveDatapath::enable_control(const std::string& path,
 
 void LiveDatapath::ingest_frame(std::span<const std::uint8_t> frame,
                                 SimTime ts) {
-  if (!decode_frame_into(frame, ts, decode_scratch_)) {
+  // Decoding straight into the ring slot reuses the slot's payload
+  // capacity: the steady-state frame path performs no allocations. A
+  // failed decode leaves the slot unclaimed for the next frame.
+  if (!decode_frame_into(frame, ts, pending_[pending_count_])) {
     ++live_stats_.decode_errors;
     return;
   }
-  // Copy-assignment into the ring slot reuses the slot's payload
-  // capacity: the steady-state frame path performs no allocations.
-  pending_[pending_count_++] = decode_scratch_.packet;
+  ++pending_count_;
+}
+
+bool LiveDatapath::drain_capture() {
+  bool capped = true;
+  for (std::size_t drains = 0; drains < kMaxDrainsPerWakeup; ++drains) {
+    if (pending_count_ == config_.batch_max) process_pending();
+    const std::size_t room = config_.batch_max - pending_count_;
+    if (source_->drain(room, sink_) < room) {  // source would block
+      capped = false;
+      break;
+    }
+  }
+  process_pending();
+  return capped;
 }
 
 void LiveDatapath::on_capture_readable() {
-  for (;;) {
-    if (pending_count_ == config_.batch_max) process_pending();
-    const std::size_t room = config_.batch_max - pending_count_;
-    if (source_->drain(room, sink_) < room) break;  // source would block
+  if (drain_capture()) {
+    // The source may hold frames it already pulled from the kernel (the
+    // tap's recvmmsg ring), which leave its fd unreadable: the resume
+    // eventfd runs this handler again on the next loop round, alongside
+    // whatever else is ready.
+    const std::uint64_t one = 1;
+    (void)!::write(resume_fd_, &one, sizeof(one));
   }
-  process_pending();
   run_capture_faults();
   if (capture_attached_ && source_->error() != 0) {
     // drain() returned "would block" because the socket is DEAD, not
@@ -397,15 +432,11 @@ void LiveDatapath::drain_and_stop() {
 void LiveDatapath::finalize() {
   if (finalized_) return;
   finalized_ = true;
-  // Shutdown drains: every frame the kernel already handed us is decoded
+  // Shutdown drains: every frame the source already buffered is decoded
   // and processed before the final report (the conservation property the
-  // harness asserts).
-  for (;;) {
-    if (pending_count_ == config_.batch_max) process_pending();
-    const std::size_t room = config_.batch_max - pending_count_;
-    if (source_->drain(room, sink_) < room) break;
-  }
-  process_pending();
+  // harness asserts), up to one wakeup's cap so a source that never runs
+  // dry cannot hold shutdown.
+  drain_capture();
 
   result_.stats = router_->stats();
   result_.metrics = router_->metrics_snapshot();

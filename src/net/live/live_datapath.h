@@ -118,6 +118,15 @@ std::string conformance_report(const ReplayResult& result, SimTime end_time);
 
 class LiveDatapath final : public ControlApi {
  public:
+  /// Most batch_max-frame drains one capture wakeup makes (4096 frames
+  /// at the default batch_max of 256). Under sustained load the source
+  /// never reports "would block", so without a cap one wakeup would never
+  /// return to the loop and stop conditions, ticks, control commands and
+  /// signals would starve. A capped wakeup re-arms itself through an
+  /// eventfd, so frames the source already buffered in user space resume
+  /// on the next loop round even when its fd is no longer readable.
+  static constexpr std::size_t kMaxDrainsPerWakeup = 16;
+
   /// Registers the capture fd and the tick timer with `loop`; the loop
   /// must outlive the datapath.
   LiveDatapath(LiveConfig config, FilterSpec spec,
@@ -153,9 +162,10 @@ class LiveDatapath final : public ControlApi {
     verdict_sink_ = std::move(sink);
   }
 
-  /// Drains everything still buffered in the source, processes it, and
-  /// stops the loop. Signal handlers and `quit` route here: shutdown
-  /// loses no accepted frame (the conservation check in the harness).
+  /// Drains what is still buffered in the source (up to one wakeup's
+  /// kMaxDrainsPerWakeup cap), processes it, and stops the loop. Signal
+  /// handlers and `quit` route here: shutdown loses no accepted frame
+  /// (the conservation check in the harness).
   void drain_and_stop();
 
   /// Drains + snapshots final stats/metrics into result(); writes the
@@ -189,6 +199,10 @@ class LiveDatapath final : public ControlApi {
   void control_quit() override;
 
  private:
+  /// Drains the source into the batch ring and processes it, stopping
+  /// when the source would block or after kMaxDrainsPerWakeup drains.
+  /// True when the cap stopped it (frames may remain).
+  bool drain_capture();
   void on_capture_readable();
   void on_tick(std::uint64_t expirations);
   /// Decodes one frame into the reused batch ring.
@@ -238,7 +252,6 @@ class LiveDatapath final : public ControlApi {
   // reuse, so the steady-state frame path performs no allocations.
   std::vector<PacketRecord> pending_;
   std::size_t pending_count_ = 0;
-  DecodedFrame decode_scratch_;
   std::vector<RouterDecision> decisions_;
   FrameSink sink_;
 
@@ -253,6 +266,8 @@ class LiveDatapath final : public ControlApi {
   std::unique_ptr<MetricsJsonlWriter> metrics_writer_;
   SimTime next_metrics_emit_;
   int tick_fd_ = -1;
+  /// Eventfd a capped capture wakeup writes to re-run itself next round.
+  int resume_fd_ = -1;
   bool finalized_ = false;
 
   // Capture supervision state.

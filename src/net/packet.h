@@ -5,7 +5,9 @@
 // accounting stays exact).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,6 +53,12 @@ struct PacketRecord {
     const std::uint32_t l4 =
         tuple.protocol == Protocol::kTcp ? kTcpHeaderSize : kUdpHeaderSize;
     return kEthernetHeaderSize + kIpv4HeaderSize + l4 + payload_size;
+  }
+
+  /// The captured payload bytes a frame carries: at most payload_size.
+  std::span<const std::uint8_t> captured_payload() const {
+    return {payload.data(),
+            std::min<std::size_t>(payload.size(), payload_size)};
   }
 
   bool is_tcp() const { return tuple.protocol == Protocol::kTcp; }

@@ -1,8 +1,10 @@
 #include "net/pcap.h"
 
 #include <algorithm>
-#include "util/byte_io.h"
+#include <array>
 #include <cstring>
+
+#include "util/byte_io.h"
 
 namespace upbound {
 
@@ -29,6 +31,21 @@ std::uint32_t get_u32(const std::uint8_t* p, bool swap) {
 }
 
 }  // namespace
+
+StoredFrame encode_stored_frame(
+    const PacketRecord& pkt, std::uint32_t snaplen,
+    std::span<std::uint8_t, kMaxFrameHeaderSize> headers) {
+  const auto header_len =
+      static_cast<std::uint32_t>(encode_frame_headers(pkt, headers));
+  const std::span<const std::uint8_t> prefix = pkt.captured_payload();
+  StoredFrame out;
+  out.orig_len = header_len + pkt.payload_size;
+  out.incl_len = std::min(
+      header_len + static_cast<std::uint32_t>(prefix.size()), snaplen);
+  out.header_bytes = std::min(out.incl_len, header_len);
+  out.prefix = prefix.first(out.incl_len - out.header_bytes);
+  return out;
+}
 
 PcapWriter::PcapWriter(const std::string& path, std::uint32_t snaplen)
     : snaplen_(snaplen) {
@@ -60,26 +77,23 @@ void PcapWriter::close() {
 void PcapWriter::write(const PacketRecord& pkt) {
   if (file_ == nullptr) throw PcapError("write after close");
 
-  const std::vector<std::uint8_t> frame = encode_frame(pkt);
-  // Zero fill from encode_frame represents un-captured payload; report the
-  // true original length and clip the stored bytes to the captured prefix
-  // (plus headers) and snaplen, like a live snaplen-limited capture.
-  const std::uint32_t orig_len = static_cast<std::uint32_t>(frame.size());
-  const std::uint32_t headers = orig_len - pkt.payload_size;
-  std::uint32_t incl_len = headers + static_cast<std::uint32_t>(
-                                         std::min<std::size_t>(
-                                             pkt.payload.size(),
-                                             pkt.payload_size));
-  incl_len = std::min(incl_len, snaplen_);
-
+  // One buffer holds the record header and the frame headers, so a record
+  // is two fwrites: this buffer, then the captured payload prefix.
+  std::array<std::uint8_t, 16 + kMaxFrameHeaderSize> head;
+  const StoredFrame frame = encode_stored_frame(
+      pkt, snaplen_,
+      std::span<std::uint8_t, kMaxFrameHeaderSize>{head.data() + 16,
+                                                   kMaxFrameHeaderSize});
   const std::int64_t usec = pkt.timestamp.usec();
-  std::uint8_t rec[16];
-  put_u32le(rec + 0, static_cast<std::uint32_t>(usec / 1'000'000));
-  put_u32le(rec + 4, static_cast<std::uint32_t>(usec % 1'000'000));
-  put_u32le(rec + 8, incl_len);
-  put_u32le(rec + 12, orig_len);
-  if (std::fwrite(rec, 1, sizeof(rec), file_) != sizeof(rec) ||
-      std::fwrite(frame.data(), 1, incl_len, file_) != incl_len) {
+  put_u32le(head.data() + 0, static_cast<std::uint32_t>(usec / 1'000'000));
+  put_u32le(head.data() + 4, static_cast<std::uint32_t>(usec % 1'000'000));
+  put_u32le(head.data() + 8, frame.incl_len);
+  put_u32le(head.data() + 12, frame.orig_len);
+  const std::size_t head_len = 16 + frame.header_bytes;
+  if (std::fwrite(head.data(), 1, head_len, file_) != head_len ||
+      (!frame.prefix.empty() &&
+       std::fwrite(frame.prefix.data(), 1, frame.prefix.size(), file_) !=
+           frame.prefix.size())) {
     throw PcapError("short write on pcap record");
   }
   ++packets_written_;
@@ -123,37 +137,67 @@ PcapReader::~PcapReader() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
-std::optional<PacketRecord> PcapReader::next() {
-  for (;;) {
-    std::uint8_t rec[16];
-    const std::size_t got = std::fread(rec, 1, sizeof(rec), file_);
-    if (got == 0) return std::nullopt;  // clean EOF
-    if (got != sizeof(rec)) throw PcapError("truncated pcap record header");
+bool PcapReader::fill(std::size_t n) {
+  if (end_ - pos_ >= n) return true;
+  // Slide the unread tail to the front, growing the window for records
+  // larger than it, then read until `n` bytes are buffered or EOF.
+  const std::size_t unread = end_ - pos_;
+  if (n > buf_size_) {
+    const std::size_t size = std::max(n, std::max<std::size_t>(2 * buf_size_,
+                                                               64 * 1024));
+    std::unique_ptr<std::uint8_t[]> grown{new std::uint8_t[size]};
+    if (unread > 0) std::memcpy(grown.get(), buf_.get() + pos_, unread);
+    buf_ = std::move(grown);
+    buf_size_ = size;
+  } else if (unread > 0) {
+    std::memmove(buf_.get(), buf_.get() + pos_, unread);
+  }
+  pos_ = 0;
+  end_ = unread;
+  while (end_ < n) {
+    const std::size_t got =
+        std::fread(buf_.get() + end_, 1, buf_size_ - end_, file_);
+    if (got == 0) return false;
+    end_ += got;
+  }
+  return true;
+}
 
+bool PcapReader::next_into(PacketRecord& out) {
+  for (;;) {
+    if (!fill(16)) {
+      if (end_ == pos_) return false;  // clean EOF
+      throw PcapError("truncated pcap record header");
+    }
+    const std::uint8_t* rec = buf_.get() + pos_;
     const std::uint32_t ts_sec = get_u32(rec + 0, swap_);
     const std::uint32_t ts_frac = get_u32(rec + 4, swap_);
     const std::uint32_t incl_len = get_u32(rec + 8, swap_);
-    const std::uint32_t orig_len = get_u32(rec + 12, swap_);
     if (incl_len > 256 * 1024 * 1024) throw PcapError("absurd record length");
-
-    frame_buf_.resize(incl_len);
-    if (incl_len > 0 &&
-        std::fread(frame_buf_.data(), 1, incl_len, file_) != incl_len) {
+    if (!fill(16 + std::size_t{incl_len})) {
       throw PcapError("truncated pcap record body");
     }
+    const std::span<const std::uint8_t> frame{buf_.get() + pos_ + 16,
+                                              incl_len};
+    pos_ += 16 + std::size_t{incl_len};
 
+    // orig_len is not read: payload_size is recovered from the IP header.
     const std::int64_t usec =
         static_cast<std::int64_t>(ts_sec) * 1'000'000 +
         (nanosecond_ ? ts_frac / 1000 : ts_frac);
-    auto decoded = decode_frame(frame_buf_, SimTime::from_usec(usec));
-    if (!decoded) {
+    if (!decode_frame_into(frame, SimTime::from_usec(usec), out)) {
       ++frames_skipped_;
       continue;
     }
-    (void)orig_len;  // payload_size already recovered from the IP header
     ++packets_read_;
-    return decoded->packet;
+    return true;
   }
+}
+
+std::optional<PacketRecord> PcapReader::next() {
+  PacketRecord pkt;
+  if (!next_into(pkt)) return std::nullopt;
+  return std::optional<PacketRecord>{std::move(pkt)};
 }
 
 Trace PcapReader::read_all() {

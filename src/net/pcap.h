@@ -9,7 +9,9 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -30,9 +32,25 @@ class PcapError : public std::runtime_error {
   explicit PcapError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Streams PacketRecords to a pcap file. Frames are synthesized through
-/// encode_frame(); payloads captured only as a prefix are truncated in the
-/// record (incl_len < orig_len) exactly like a snaplen-limited capture.
+/// What a capture record stores of `pkt`'s encoded frame: the headers,
+/// which encode_stored_frame writes into the caller's buffer, then the
+/// captured payload prefix, the two clipped together to `snaplen`.
+struct StoredFrame {
+  std::uint32_t orig_len = 0;      // wire length, zero fill included
+  std::uint32_t incl_len = 0;      // bytes stored
+  std::uint32_t header_bytes = 0;  // stored bytes from the header buffer
+  std::span<const std::uint8_t> prefix;  // stored bytes of the payload
+};
+StoredFrame encode_stored_frame(
+    const PacketRecord& pkt, std::uint32_t snaplen,
+    std::span<std::uint8_t, kMaxFrameHeaderSize> headers);
+
+/// Streams PacketRecords to a pcap file. Each record stores the frame's
+/// headers (encode_frame_headers) and the captured payload prefix; the
+/// rest of the payload is only reported in orig_len (incl_len < orig_len)
+/// exactly like a snaplen-limited capture. The stored bytes are those of
+/// encode_frame(pkt) clipped to headers + prefix and snaplen; writing
+/// allocates nothing.
 class PcapWriter {
  public:
   explicit PcapWriter(const std::string& path,
@@ -57,6 +75,8 @@ class PcapWriter {
 };
 
 /// Reads a pcap file into PacketRecords, skipping non-IPv4/TCP/UDP frames.
+/// Records are read ahead in 64 KB chunks and decoded in place from the
+/// read buffer.
 class PcapReader {
  public:
   explicit PcapReader(const std::string& path);
@@ -65,8 +85,13 @@ class PcapReader {
   PcapReader(const PcapReader&) = delete;
   PcapReader& operator=(const PcapReader&) = delete;
 
-  /// Next decodable packet, or nullopt at end of file. Malformed frames
-  /// and unsupported protocols are counted and skipped.
+  /// Decodes the next decodable packet into `out`, reusing its payload
+  /// capacity; false at end of file. Malformed frames and unsupported
+  /// protocols are counted and skipped.
+  bool next_into(PacketRecord& out);
+
+  /// Next decodable packet, or nullopt at end of file (next_into into a
+  /// fresh record).
   std::optional<PacketRecord> next();
 
   /// Reads the remaining packets.
@@ -77,12 +102,21 @@ class PcapReader {
   bool nanosecond_resolution() const { return nanosecond_; }
 
  private:
+  /// Makes at least `n` unread bytes available at buf_[pos_]; false when
+  /// the file ends first.
+  bool fill(std::size_t n);
+
   std::FILE* file_ = nullptr;
   bool swap_ = false;        // file byte order != host order
   bool nanosecond_ = false;  // magic selects usec vs nsec timestamps
   std::uint64_t packets_read_ = 0;
   std::uint64_t frames_skipped_ = 0;
-  std::vector<std::uint8_t> frame_buf_;
+  // Read-ahead window over the file: buf_[pos_, end_) is unread. Left
+  // uninitialized, so opening a reader touches none of it.
+  std::unique_ptr<std::uint8_t[]> buf_;
+  std::size_t buf_size_ = 0;
+  std::size_t pos_ = 0;
+  std::size_t end_ = 0;
 };
 
 }  // namespace upbound

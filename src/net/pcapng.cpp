@@ -1,6 +1,7 @@
 #include "net/pcapng.h"
 
 #include <algorithm>
+#include <array>
 
 #include "net/headers.h"
 #include "util/byte_io.h"
@@ -9,8 +10,11 @@ namespace upbound {
 
 namespace {
 
-void pad32(std::vector<std::uint8_t>& out) {
-  while (out.size() % 4 != 0) out.push_back(0);
+void put_u32le(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v);
+  p[1] = static_cast<std::uint8_t>(v >> 8);
+  p[2] = static_cast<std::uint8_t>(v >> 16);
+  p[3] = static_cast<std::uint8_t>(v >> 24);
 }
 
 std::uint32_t get_u32(std::span<const std::uint8_t> data, std::size_t off,
@@ -71,33 +75,34 @@ void PcapngWriter::close() {
 void PcapngWriter::write(const PacketRecord& pkt) {
   if (file_ == nullptr) throw PcapError("write after close");
 
-  const std::vector<std::uint8_t> frame = encode_frame(pkt);
-  const std::uint32_t orig_len = static_cast<std::uint32_t>(frame.size());
-  const std::uint32_t headers = orig_len - pkt.payload_size;
-  std::uint32_t incl_len = headers + static_cast<std::uint32_t>(
-                                         std::min<std::size_t>(
-                                             pkt.payload.size(),
-                                             pkt.payload_size));
-  incl_len = std::min(incl_len, snaplen_);
-
-  std::vector<std::uint8_t> out;
-  ByteWriter w{out};
+  // Like PcapWriter::write: the block header and the frame headers share
+  // one buffer, followed by the captured payload prefix.
+  std::array<std::uint8_t, 28 + kMaxFrameHeaderSize> head;
+  const StoredFrame frame = encode_stored_frame(
+      pkt, snaplen_,
+      std::span<std::uint8_t, kMaxFrameHeaderSize>{head.data() + 28,
+                                                   kMaxFrameHeaderSize});
   const std::uint64_t ts = static_cast<std::uint64_t>(pkt.timestamp.usec());
-  const std::uint32_t padded = (incl_len + 3) & ~3u;
+  const std::uint32_t padded = (frame.incl_len + 3) & ~3u;
   const std::uint32_t total = 32 + padded;
+  put_u32le(head.data() + 0, kPcapngEpb);
+  put_u32le(head.data() + 4, total);
+  put_u32le(head.data() + 8, 0);  // interface id
+  put_u32le(head.data() + 12, static_cast<std::uint32_t>(ts >> 32));
+  put_u32le(head.data() + 16, static_cast<std::uint32_t>(ts));
+  put_u32le(head.data() + 20, frame.incl_len);
+  put_u32le(head.data() + 24, frame.orig_len);
+  // Zero padding to 32 bits, then the trailing copy of the block length.
+  std::uint8_t tail[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+  const std::size_t pad = padded - frame.incl_len;
+  put_u32le(tail + pad, total);
 
-  w.u32le(kPcapngEpb);
-  w.u32le(total);
-  w.u32le(0);  // interface id
-  w.u32le(static_cast<std::uint32_t>(ts >> 32));
-  w.u32le(static_cast<std::uint32_t>(ts));
-  w.u32le(incl_len);
-  w.u32le(orig_len);
-  w.bytes(std::span<const std::uint8_t>{frame.data(), incl_len});
-  pad32(out);
-  w.u32le(total);
-
-  if (std::fwrite(out.data(), 1, out.size(), file_) != out.size()) {
+  const std::size_t head_len = 28 + frame.header_bytes;
+  if (std::fwrite(head.data(), 1, head_len, file_) != head_len ||
+      (!frame.prefix.empty() &&
+       std::fwrite(frame.prefix.data(), 1, frame.prefix.size(), file_) !=
+           frame.prefix.size()) ||
+      std::fwrite(tail, 1, pad + 4, file_) != pad + 4) {
     throw PcapError("short write on pcapng packet block");
   }
   ++packets_written_;
@@ -225,8 +230,8 @@ void PcapngReader::parse_interface_block(std::span<const std::uint8_t> body) {
   if_ticks_per_sec_.push_back(ticks);
 }
 
-std::optional<PacketRecord> PcapngReader::next() {
-  std::vector<std::uint8_t> body;
+bool PcapngReader::next_into(PacketRecord& out) {
+  std::vector<std::uint8_t>& body = block_;
   std::uint32_t type = 0;
   while (read_block(body, type)) {
     if (type == kPcapngShb) {
@@ -257,16 +262,14 @@ std::optional<PacketRecord> PcapngReader::next() {
       }
       const std::int64_t usec = static_cast<std::int64_t>(
           static_cast<double>(ts) * 1e6 / static_cast<double>(ticks));
-      auto decoded =
-          decode_frame(std::span<const std::uint8_t>{body.data() + 20,
-                                                     incl_len},
-                       SimTime::from_usec(usec));
-      if (!decoded) {
+      if (!decode_frame_into(
+              std::span<const std::uint8_t>{body.data() + 20, incl_len},
+              SimTime::from_usec(usec), out)) {
         ++blocks_skipped_;
         continue;
       }
       ++packets_read_;
-      return decoded->packet;
+      return true;
     }
     if (type == kPcapngSpb) {
       if (body.size() < 4) throw PcapError("pcapng: short simple block");
@@ -274,19 +277,24 @@ std::optional<PacketRecord> PcapngReader::next() {
       const std::uint32_t incl_len = std::min<std::uint32_t>(
           orig_len, static_cast<std::uint32_t>(body.size() - 4));
       // SPBs carry no timestamp; they land at the trace origin.
-      auto decoded = decode_frame(
-          std::span<const std::uint8_t>{body.data() + 4, incl_len},
-          SimTime::origin());
-      if (!decoded) {
+      if (!decode_frame_into(
+              std::span<const std::uint8_t>{body.data() + 4, incl_len},
+              SimTime::origin(), out)) {
         ++blocks_skipped_;
         continue;
       }
       ++packets_read_;
-      return decoded->packet;
+      return true;
     }
     ++blocks_skipped_;
   }
-  return std::nullopt;
+  return false;
+}
+
+std::optional<PacketRecord> PcapngReader::next() {
+  PacketRecord pkt;
+  if (!next_into(pkt)) return std::nullopt;
+  return std::optional<PacketRecord>{std::move(pkt)};
 }
 
 Trace PcapngReader::read_all() {

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "net/packet.h"
 #include "net/pcap.h"  // PcapError
@@ -56,6 +57,9 @@ class PcapngReader {
   PcapngReader(const PcapngReader&) = delete;
   PcapngReader& operator=(const PcapngReader&) = delete;
 
+  /// Decodes the next packet into `out`, reusing its payload capacity;
+  /// false at end of file. Undecodable blocks are counted and skipped.
+  bool next_into(PacketRecord& out);
   std::optional<PacketRecord> next();
   Trace read_all();
 
@@ -69,6 +73,8 @@ class PcapngReader {
 
   std::FILE* file_ = nullptr;
   bool swap_ = false;
+  /// Body of the block being parsed, reused across blocks.
+  std::vector<std::uint8_t> block_;
   /// Ticks per second of EPB timestamps for each interface (default 1e6).
   std::vector<std::uint64_t> if_ticks_per_sec_;
   std::uint64_t packets_read_ = 0;

@@ -1,12 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "cli/commands.h"
+#include "filter/filter_registry.h"
+#include "filter/snapshot.h"
+#include "net/capture_reader.h"
 #include "net/pcap.h"
+#include "sim/edge_router.h"
+#include "sim/report.h"
+#include "util/metrics_export.h"
 
 namespace upbound::cli {
 namespace {
@@ -89,6 +99,12 @@ class CliCommandTest : public ::testing::Test {
   int run_cli(std::initializer_list<const char*> tokens) {
     std::vector<const char*> argv{"upbound"};
     argv.insert(argv.end(), tokens.begin(), tokens.end());
+    return run(static_cast<int>(argv.size()), argv.data());
+  }
+
+  int run_cli(const std::vector<std::string>& tokens) {
+    std::vector<const char*> argv{"upbound"};
+    for (const std::string& t : tokens) argv.push_back(t.c_str());
     return run(static_cast<int>(argv.size()), argv.data());
   }
 
@@ -198,6 +214,290 @@ TEST_F(CliCommandTest, SaveAndLoadFilterState) {
   // --save-state with a non-bitmap filter is an error.
   EXPECT_EQ(run_cli({"filter", "--pcap", trace.c_str(), "--filter", "spi",
                      "--save-state", state.c_str()}),
+            2);
+}
+
+// ------- Streaming filter == the whole-trace replay it replaced -------
+
+std::string slurp(const std::string& path) {
+  std::ifstream in{path, std::ios::binary};
+  return {std::istreambuf_iterator<char>{in}, {}};
+}
+
+void write_trace(const std::string& path, const Trace& trace) {
+  PcapWriter writer{path};
+  writer.write_all(trace);
+}
+
+// Router flags every run below shares; the geometry flags are left off
+// --load-state runs, whose geometry comes from the snapshot.
+const std::vector<std::string> kPolicyFlags = {
+    "--low", "1e6", "--high", "3e6", "--blocklist", "--seed", "7"};
+const std::vector<std::string> kGeometryFlags = {
+    "--filter", "bitmap", "--bits", "16", "--k", "4", "--m", "3", "--dt", "2"};
+constexpr double kIntervalSec = 1.0;  // --metrics-interval 1
+constexpr std::size_t kFilterBatch = 256;  // the filter command's batch
+
+std::unique_ptr<StateFilter> geometry_filter() {
+  MapFilterArgs args;
+  args.set("bits", "16").set("k", "4").set("m", "3").set("dt", "2");
+  return make_state_filter(FilterRegistry::instance().parse("bitmap", args));
+}
+
+struct FilterOutputs {
+  std::string report;     // the stats + counters block of the report
+  std::string survivors;  // --out bytes
+  std::string metrics;    // --metrics-out bytes (deterministic JSONL)
+  std::string snapshot;   // --save-state bytes
+};
+
+template <typename... Args>
+void appendf(std::string& out, const char* format, Args... args) {
+  char line[256];
+  std::snprintf(line, sizeof(line), format, args...);
+  out += line;
+}
+
+// The report block the filter command prints for `router`.
+std::string report_block(const EdgeRouter& router) {
+  const EdgeRouterStats& stats = router.stats();
+  const auto u = [](std::uint64_t v) {
+    return static_cast<unsigned long long>(v);
+  };
+  std::string out;
+  appendf(out, "outbound passed:  %llu packets, %llu bytes\n",
+          u(stats.outbound_packets), u(stats.outbound_bytes));
+  appendf(out, "inbound passed:   %llu packets, %llu bytes\n",
+          u(stats.inbound_passed_packets), u(stats.inbound_passed_bytes));
+  appendf(out, "inbound dropped:  %llu packets (%s), %llu via blocklist\n",
+          u(stats.inbound_dropped_packets),
+          report::percent(stats.inbound_drop_rate()).c_str(),
+          u(stats.blocked_drops));
+  appendf(out, "upload suppressed: %llu packets, %llu bytes\n",
+          u(stats.suppressed_outbound_packets),
+          u(stats.suppressed_outbound_bytes));
+  appendf(out, "filter state: %zu bytes (%s)\n",
+          router.filter().storage_bytes(), router.filter().name().c_str());
+  out += "datapath stage counters:\n";
+  for (const CounterSample& sample : stats.stage_counters) {
+    appendf(out, "  %-28s %llu\n", sample.name.c_str(), u(sample.value));
+  }
+  return out;
+}
+
+// The filter command's replay before it streamed: the whole capture read
+// up front, cut into 256-packet batches, interval snapshots on sim-time
+// boundaries from the first packet, the final snapshot and the saved
+// state at the last packet's timestamp.
+FilterOutputs whole_trace_filter(const std::string& capture,
+                                 std::unique_ptr<StateFilter> filter,
+                                 const std::filesystem::path& dir) {
+  const Trace trace = CaptureReader{capture}.read_all();
+  EdgeRouterConfig config;
+  config.network.add_prefix(*Cidr::parse("140.112.30.0/24"));
+  config.track_blocked_connections = true;
+  config.seed = 7;
+  EdgeRouter router{config, std::move(filter),
+                    std::make_unique<RedDropPolicy>(1e6, 3e6)};
+  const std::string survivors = (dir / "reference.pcap").string();
+  const std::string metrics = (dir / "reference.jsonl").string();
+  const SimTime end =
+      trace.empty() ? SimTime::origin() : trace.back().timestamp;
+  {
+    PcapWriter writer{survivors};
+    MetricsJsonlWriter jsonl{metrics};
+    const Duration interval = Duration::sec(kIntervalSec);
+    SimTime next_emit = trace.empty() ? SimTime::infinite()
+                                      : trace.front().timestamp + interval;
+    std::array<RouterDecision, kFilterBatch> decisions;
+    for (std::size_t start = 0; start < trace.size(); start += kFilterBatch) {
+      const std::size_t n = std::min(kFilterBatch, trace.size() - start);
+      const PacketBatch batch{trace.data() + start, n};
+      router.process_batch(batch, {decisions.data(), n});
+      while (batch[n - 1].timestamp >= next_emit) {
+        jsonl.write(router.metrics_snapshot().deterministic(), "interval",
+                    next_emit);
+        next_emit += interval;
+      }
+      for (std::size_t p = 0; p < n; ++p) {
+        if (decisions[p] == RouterDecision::kPassedOutbound ||
+            decisions[p] == RouterDecision::kPassedInbound) {
+          writer.write(batch[p]);
+        }
+      }
+    }
+    jsonl.write(router.metrics_snapshot().deterministic(), "final", end);
+  }
+  FilterOutputs out;
+  out.report = report_block(router);
+  out.survivors = slurp(survivors);
+  out.metrics = slurp(metrics);
+  const auto* bitmap = dynamic_cast<const BitmapFilter*>(&router.filter());
+  if (bitmap != nullptr) {
+    const auto snapshot = snapshot_bitmap_filter(*bitmap, end);
+    out.snapshot.assign(snapshot.begin(), snapshot.end());
+  }
+  return out;
+}
+
+class CliStreamingTest : public CliCommandTest {
+ protected:
+  void SetUp() override {
+    CliCommandTest::SetUp();
+    base_ = path("base.pcap");
+    ASSERT_EQ(run_cli({"generate", "--out", base_.c_str(), "--duration", "6",
+                       "--rate", "40", "--bandwidth", "4e6", "--seed", "9"}),
+              0);
+    trace_ = CaptureReader{base_}.read_all();
+    ASSERT_GT(trace_.size(), 2 * kFilterBatch + 1);
+  }
+
+  std::string path(const std::string& name) const {
+    return (dir_ / name).string();
+  }
+
+  // Runs `filter` with --out/--metrics-out (and `extra`) on `capture`;
+  // returns the exit code and fills `out` from its outputs.
+  int streamed_filter(const std::string& capture,
+                      const std::vector<std::string>& extra,
+                      FilterOutputs& out) {
+    const std::string survivors = path("streamed.pcap");
+    const std::string metrics = path("streamed.jsonl");
+    std::vector<std::string> args{"filter",        "--pcap",
+                                  capture,         "--out",
+                                  survivors,       "--metrics-out",
+                                  metrics,         "--metrics-interval",
+                                  "1",             "--metrics-deterministic"};
+    args.insert(args.end(), kPolicyFlags.begin(), kPolicyFlags.end());
+    args.insert(args.end(), extra.begin(), extra.end());
+    ::testing::internal::CaptureStdout();
+    const int rc = run_cli(args);
+    out.report = ::testing::internal::GetCapturedStdout();
+    out.survivors = slurp(survivors);
+    out.metrics = slurp(metrics);
+    return rc;
+  }
+
+  // Streams `capture` through the filter command and checks every output
+  // against the whole-trace replay; returns the streamed outputs.
+  FilterOutputs expect_streaming_matches(
+      const std::string& capture,
+      std::unique_ptr<StateFilter> reference_filter,
+      const std::vector<std::string>& extra) {
+    FilterOutputs streamed;
+    EXPECT_EQ(streamed_filter(capture, extra, streamed), 0) << capture;
+    const FilterOutputs want =
+        whole_trace_filter(capture, std::move(reference_filter), dir_);
+    EXPECT_NE(streamed.report.find(want.report), std::string::npos)
+        << "report:\n" << streamed.report << "\nwant block:\n"
+        << want.report;
+    EXPECT_EQ(streamed.survivors, want.survivors) << capture;
+    EXPECT_EQ(streamed.metrics, want.metrics) << capture;
+    return streamed;
+  }
+
+  // `trace` shifted by `by`, behind leading frames no decoder accepts
+  // (IPv6 ethertype), stamped `garbage_at`.
+  void write_with_undecodable_prefix(const std::string& out,
+                                     const Trace& trace, Duration by,
+                                     SimTime garbage_at) {
+    Trace shifted = trace;
+    for (PacketRecord& p : shifted) p.timestamp = p.timestamp + by;
+    write_trace(out, shifted);
+    const std::string bytes = slurp(out);
+    std::string garbage;
+    const std::int64_t usec = garbage_at.usec();
+    for (int frame = 0; frame < 3; ++frame) {
+      for (const std::uint32_t v :
+           {static_cast<std::uint32_t>(usec / 1'000'000),
+            static_cast<std::uint32_t>(usec % 1'000'000), 14u, 14u}) {
+        for (int b = 0; b < 4; ++b) {
+          garbage.push_back(static_cast<char>(v >> (8 * b)));
+        }
+      }
+      std::string eth(14, '\x02');
+      eth[12] = '\x86';
+      eth[13] = '\xdd';
+      garbage += eth;
+    }
+    std::ofstream f{out, std::ios::binary | std::ios::trunc};
+    f << bytes.substr(0, 24) << garbage << bytes.substr(24);
+  }
+
+  std::string base_;
+  Trace trace_;
+};
+
+TEST_F(CliStreamingTest, PcapAndPcapngMatchTheWholeTraceReplay) {
+  const std::string ng = path("base.pcapng");
+  ASSERT_EQ(run_cli({"generate", "--out", ng.c_str(), "--format", "pcapng",
+                     "--duration", "6", "--rate", "40", "--bandwidth", "4e6",
+                     "--seed", "9"}),
+            0);
+  const FilterOutputs from_pcap =
+      expect_streaming_matches(base_, geometry_filter(), kGeometryFlags);
+  const FilterOutputs from_pcapng =
+      expect_streaming_matches(ng, geometry_filter(), kGeometryFlags);
+  EXPECT_EQ(from_pcap.report, from_pcapng.report);
+  EXPECT_EQ(from_pcap.survivors, from_pcapng.survivors);
+  EXPECT_EQ(from_pcap.metrics, from_pcapng.metrics);
+}
+
+TEST_F(CliStreamingTest, EmptyCapture) {
+  const std::string empty = path("empty.pcap");
+  write_trace(empty, {});
+  const FilterOutputs out =
+      expect_streaming_matches(empty, geometry_filter(), kGeometryFlags);
+  EXPECT_EQ(out.survivors.size(), 24u);  // global header only
+}
+
+TEST_F(CliStreamingTest, BatchBoundaryLengths) {
+  for (const std::size_t n :
+       {kFilterBatch, 2 * kFilterBatch, 2 * kFilterBatch + 1}) {
+    const std::string capture = path("cut" + std::to_string(n) + ".pcap");
+    write_trace(capture, Trace(trace_.begin(), trace_.begin() + n));
+    expect_streaming_matches(capture, geometry_filter(), kGeometryFlags);
+  }
+}
+
+TEST_F(CliStreamingTest, SaveLoadStateRoundTrip) {
+  const std::string state = path("state.bin");
+  std::vector<std::string> save = kGeometryFlags;
+  save.insert(save.end(), {"--save-state", state});
+  FilterOutputs streamed;
+  ASSERT_EQ(streamed_filter(base_, save, streamed), 0);
+  const FilterOutputs want = whole_trace_filter(base_, geometry_filter(), dir_);
+  EXPECT_EQ(streamed.survivors, want.survivors);
+  ASSERT_FALSE(want.snapshot.empty());
+  EXPECT_EQ(slurp(state), want.snapshot);
+
+  // Resume on a later capture whose first decoded packet lies within T_e
+  // of the snapshot, behind undecodable frames stamped far past it: the
+  // staleness check must see the decoded timestamp.
+  const SimTime snapshot_at = trace_.back().timestamp;
+  const std::string fresh = path("fresh.pcap");
+  write_with_undecodable_prefix(fresh, trace_,
+                                snapshot_at - trace_.front().timestamp,
+                                snapshot_at + Duration::sec(1000.0));
+  const std::vector<std::uint8_t> bytes(want.snapshot.begin(),
+                                        want.snapshot.end());
+  auto restored = restore_bitmap_filter_checked(bytes, snapshot_at);
+  ASSERT_TRUE(restored.ok());
+  expect_streaming_matches(
+      fresh, take_restored_filter(std::move(*restored.restored)),
+      {"--filter", "bitmap", "--load-state", state});
+
+  // The same packets shifted past T_e behind fresh-stamped undecodable
+  // frames: stale, whatever the undecodable frames say.
+  const std::string stale = path("stale.pcap");
+  write_with_undecodable_prefix(
+      stale, trace_,
+      snapshot_at - trace_.front().timestamp + Duration::sec(1000.0),
+      snapshot_at);
+  FilterOutputs rejected;
+  EXPECT_EQ(streamed_filter(stale, {"--filter", "bitmap", "--load-state",
+                                    state},
+                            rejected),
             2);
 }
 

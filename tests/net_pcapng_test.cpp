@@ -4,7 +4,11 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <random>
 
+#include "net/headers.h"
 #include "trace/campus.h"
 #include "util/byte_io.h"
 
@@ -63,6 +67,63 @@ TEST_F(PcapngTest, WriteReadRoundTrip) {
     EXPECT_EQ(got[i].timestamp, trace[i].timestamp);
     EXPECT_EQ(got[i].tuple, trace[i].tuple);
     EXPECT_EQ(got[i].payload, trace[i].payload);
+  }
+}
+
+// Each Enhanced Packet Block stores encode_frame(pkt) clipped to the
+// headers plus the captured prefix and to snaplen, padded to 32 bits.
+TEST_F(PcapngTest, WriterMatchesClippedEncodeFrame) {
+  std::mt19937_64 rng{1729};
+  const auto uniform = [&rng](std::uint32_t lo, std::uint32_t hi) {
+    return std::uniform_int_distribution<std::uint32_t>{lo, hi}(rng);
+  };
+  Trace trace;
+  for (int i = 0; i < 200; ++i) {
+    PacketRecord pkt = make_packet(uniform(0, 100000) * 1e-3,
+                                   static_cast<std::uint16_t>(uniform(1, 65535)));
+    if (i % 2 == 0) pkt.tuple.protocol = Protocol::kUdp;
+    pkt.payload_size = i % 5 == 0 ? 0 : uniform(1, 1460);
+    pkt.payload.assign(uniform(0, pkt.payload_size + 9),
+                       static_cast<std::uint8_t>(uniform(0, 255)));
+    trace.push_back(std::move(pkt));
+  }
+  for (const std::uint32_t snaplen : {kDefaultSnapLen, 30u, 43u, 61u}) {
+    {
+      PcapngWriter writer{path_, snaplen};
+      writer.write_all(trace);
+    }
+    std::ifstream in{path_, std::ios::binary};
+    const std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>{in},
+                                          {}};
+    std::size_t at = 28 + 20;  // section header + interface description
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      const PacketRecord& pkt = trace[i];
+      const std::vector<std::uint8_t> frame = encode_frame(pkt);
+      const auto orig_len = static_cast<std::uint32_t>(frame.size());
+      const std::uint32_t incl_len = std::min<std::uint32_t>(
+          orig_len - pkt.payload_size +
+              static_cast<std::uint32_t>(pkt.captured_payload().size()),
+          snaplen);
+      const std::uint32_t padded = (incl_len + 3) & ~3u;
+      std::vector<std::uint8_t> want;
+      ByteWriter w{want};
+      const auto ts = static_cast<std::uint64_t>(pkt.timestamp.usec());
+      w.u32le(kPcapngEpb);
+      w.u32le(32 + padded);
+      w.u32le(0);
+      w.u32le(static_cast<std::uint32_t>(ts >> 32));
+      w.u32le(static_cast<std::uint32_t>(ts));
+      w.u32le(incl_len);
+      w.u32le(orig_len);
+      w.bytes(std::span<const std::uint8_t>{frame.data(), incl_len});
+      while (want.size() % 4 != 0) w.u8(0);
+      w.u32le(32 + padded);
+      ASSERT_LE(at + want.size(), bytes.size()) << "record " << i;
+      ASSERT_TRUE(std::equal(want.begin(), want.end(), bytes.begin() + at))
+          << "snaplen " << snaplen << ", record " << i;
+      at += want.size();
+    }
+    EXPECT_EQ(at, bytes.size()) << "snaplen " << snaplen;
   }
 }
 
